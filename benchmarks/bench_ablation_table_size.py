@@ -4,7 +4,7 @@ The runtime manager consumes Pareto tables produced at design time; their size
 trades scheduling quality against runtime overhead.  This ablation sweeps the
 per-application table-size cap and reports MMKP-MDF's scheduling rate, energy
 and overhead for each cap, quantifying the cost of the EX-MEM-motivated table
-reduction documented in EXPERIMENTS.md.
+reduction the harness applies (``REPRO_BENCH_MAX_POINTS``, see conftest.py).
 """
 
 from repro.analysis import evaluate_suite

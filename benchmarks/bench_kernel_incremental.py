@@ -1,16 +1,19 @@
-"""repro.kernel — incremental arrival handling vs. seed full re-solves.
+"""repro.kernel — incremental arrival handling vs. full re-solves.
 
 Drives one online runtime-manager trace at *high load* (large active sets,
-~50 % admission) through the MMKP-MDF manager twice: once with the
-incremental kernel (``REPRO_KERNEL=1``: prefix-resumable EDF packing,
-monotone feasibility filtering, ledger-gated pruning, shared view slices)
-and once on the seed full-re-solve path (``REPRO_KERNEL=0``).  Both runs
-must produce bit-identical logs — the speedup is pure delta reuse.
+~50 % admission) through the MMKP-MDF manager twice: once in production
+(the incremental kernel: prefix-resumable EDF packing, monotone feasibility
+filtering, ledger-gated pruning, shared view slices, columnar tables) and
+once through the frozen full-re-solve oracle of ``tests/oracle`` (reference
+manager + list-based MMKP-MDF and EDF packer).  Both runs must produce
+bit-identical logs.
 
-Acceptance target of the repro.kernel refactor: **≥ 1.5× faster arrival
-handling at high load**.  The measured ratio is machine-independent enough
-to gate on (both paths run the same Python on the same host); the wall
-times are not.
+Acceptance target of the repro.kernel engine: **≥ 1.5× faster arrival
+handling at high load** than full re-solves on the same columnar tables.
+Against the list-based oracle the ratio also contains the columnar tables'
+own gain, hence the higher :data:`MIN_SPEEDUP`.  The measured ratio is
+machine-independent enough to gate on (both paths run the same Python on the
+same host); the wall times are not.
 
 Scale knobs (environment):
 
@@ -29,15 +32,16 @@ import time
 import pytest
 
 from repro.dse import paper_operating_points, reduced_tables
-from repro.kernel import kernel_override
 from repro.platforms import odroid_xu4
 from repro.runtime.manager import RuntimeManager
 from repro.runtime.trace import poisson_trace
 from repro.schedulers import MMKPMDFScheduler
+from tests.oracle import oracle_manager
 
-#: The acceptance floor, minus measurement headroom for noisy CI hosts (the
-#: checked-in BENCH_RESULTS.json records the actual ratio, ~1.7x locally).
-MIN_SPEEDUP = 1.35
+#: Floor on the production-over-oracle ratio, with headroom for noisy hosts
+#: (7-12x measured on a 2-CPU host; the checked-in BENCH_RESULTS.json
+#: records the actual ratio).
+MIN_SPEEDUP = 5.0
 
 
 def _setup():
@@ -50,17 +54,20 @@ def _setup():
     return platform, tables, trace
 
 
-def _best_run_time(platform, tables, trace, kernel_on: bool, repeats: int = 3):
+def _best_run_time(platform, tables, trace, oracle: bool, repeats: int = 3):
+    """Best-of-``repeats`` wall time of one run (production or oracle)."""
     best = float("inf")
     log = None
-    with kernel_override(kernel_on):
-        for _ in range(repeats):
+    for _ in range(repeats):
+        if oracle:
+            manager = oracle_manager(platform, tables, "mmkp-mdf")
+        else:
             manager = RuntimeManager.from_components(
                 platform, tables, MMKPMDFScheduler()
             )
-            started = time.perf_counter()
-            log = manager.run(trace)
-            best = min(best, time.perf_counter() - started)
+        started = time.perf_counter()
+        log = manager.run(trace)
+        best = min(best, time.perf_counter() - started)
     return best, log
 
 
@@ -81,8 +88,8 @@ def log_fingerprint(log):
 def test_kernel_incremental_arrival_handling(benchmark):
     platform, tables, trace = _setup()
 
-    kernel_s, kernel_log = _best_run_time(platform, tables, trace, True)
-    seed_s, seed_log = _best_run_time(platform, tables, trace, False)
+    kernel_s, kernel_log = _best_run_time(platform, tables, trace, oracle=False)
+    seed_s, seed_log = _best_run_time(platform, tables, trace, oracle=True)
 
     # The speedup must be pure reuse: bit-identical logs or it does not count.
     assert log_fingerprint(kernel_log) == log_fingerprint(seed_log)
@@ -98,22 +105,21 @@ def test_kernel_incremental_arrival_handling(benchmark):
         f"({arrivals / kernel_s:7.0f} arrivals/s)"
     )
     print(
-        f"  seed:   {seed_s * 1e3:7.1f} ms  "
+        f"  oracle: {seed_s * 1e3:7.1f} ms  "
         f"({arrivals / seed_s:7.0f} arrivals/s)"
     )
-    print(f"  speedup: {speedup:.2f}x (target >= 1.5x, floor {MIN_SPEEDUP}x)")
+    print(f"  speedup: {speedup:.2f}x (floor {MIN_SPEEDUP}x)")
 
     assert speedup >= MIN_SPEEDUP, (
-        f"incremental kernel only {speedup:.2f}x faster than the seed path "
+        f"incremental kernel only {speedup:.2f}x faster than the oracle "
         f"(floor {MIN_SPEEDUP}x)"
     )
 
-    # Benchmark fixture: one full kernel-mode run for the timing report.
+    # Benchmark fixture: one full production run for the timing report.
     def run_kernel():
-        with kernel_override(True):
-            return RuntimeManager.from_components(
-                platform, tables, MMKPMDFScheduler()
-            ).run(trace)
+        return RuntimeManager.from_components(
+            platform, tables, MMKPMDFScheduler()
+        ).run(trace)
 
     benchmark(run_kernel)
 
@@ -124,10 +130,9 @@ def test_kernel_delta_share_is_substantial():
 
     platform, tables, trace = _setup()
     events = []
-    with kernel_override(True):
-        RuntimeManager.from_components(platform, tables, MMKPMDFScheduler()).run(
-            trace, observer=events.append
-        )
+    RuntimeManager.from_components(platform, tables, MMKPMDFScheduler()).run(
+        trace, observer=events.append
+    )
     summary = next(e for e in events if e.kind is RunEventKind.KERNEL).data
     print(
         f"\n  delta share: {summary['delta_share']:.1%} of "

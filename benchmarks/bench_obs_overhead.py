@@ -1,7 +1,7 @@
 """repro.obs — span-tracing overhead on the kernel arrival-handling run.
 
-Re-runs the :mod:`bench_kernel_incremental` workload (high load, incremental
-kernel on) with a live :class:`repro.obs.Tracer` around the whole run and
+Re-runs the :mod:`bench_kernel_incremental` workload (high load, production
+decision path) with a live :class:`repro.obs.Tracer` around the whole run and
 compares the best-of-N wall time against the untraced run.  Two gates:
 
 * **enabled** tracing must stay under :data:`MAX_ENABLED_OVERHEAD`
@@ -30,7 +30,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import bench_kernel_incremental as kernel_bench  # noqa: E402
 
-from repro.kernel import kernel_override  # noqa: E402
 from repro.obs import Tracer  # noqa: E402
 from repro.runtime.manager import RuntimeManager  # noqa: E402
 from repro.schedulers import MMKPMDFScheduler  # noqa: E402
@@ -94,22 +93,21 @@ def measure_tracing_overhead(repeats: int = 5, setup: tuple | None = None):
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with kernel_override(True):
-            _one_run(platform, tables, trace, None)  # warm-up, untimed
-            for pair in range(repeats):
-                sides = ("disabled", "enabled")
-                if order.random() < 0.5:
-                    sides = ("enabled", "disabled")
-                for side in sides:
-                    if side == "disabled":
-                        seconds, disabled_log = _one_run(platform, tables, trace, None)
-                        disabled_runs.append(seconds)
-                    else:
-                        tracer = Tracer(name="bench")
-                        seconds, enabled_log = _one_run(platform, tables, trace, tracer)
-                        enabled_runs.append(seconds)
-                        spans = len(tracer)
-                gc.collect()  # pay collection between pairs, not inside
+        _one_run(platform, tables, trace, None)  # warm-up, untimed
+        for pair in range(repeats):
+            sides = ("disabled", "enabled")
+            if order.random() < 0.5:
+                sides = ("enabled", "disabled")
+            for side in sides:
+                if side == "disabled":
+                    seconds, disabled_log = _one_run(platform, tables, trace, None)
+                    disabled_runs.append(seconds)
+                else:
+                    tracer = Tracer(name="bench")
+                    seconds, enabled_log = _one_run(platform, tables, trace, tracer)
+                    enabled_runs.append(seconds)
+                    spans = len(tracer)
+            gc.collect()  # pay collection between pairs, not inside
     finally:
         if gc_was_enabled:
             gc.enable()

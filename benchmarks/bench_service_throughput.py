@@ -5,8 +5,9 @@ repeated-sweep workload (the shape that dominates parameter studies: the same
 trace seeds re-simulated across repeats and schedulers) through the runtime
 manager, comparing
 
-* one worker without the activation cache on the seed's list-based scheduler
-  path (the historical baseline the service's ≥2× bar was set against),
+* the frozen list-based reference path of ``tests/oracle`` — reference
+  manager and scheduler, one job after another, no cache (the historical
+  baseline the service's ≥2× bar was set against),
 * one worker without the cache on today's columnar ``repro.optable`` path,
 * one worker with the cache (repeated activations solved once),
 * ``--workers``/``REPRO_BENCH_WORKERS`` workers with a shared cache.
@@ -16,14 +17,14 @@ of cache + fan-out over the seed baseline.  Since the ``repro.optable``
 refactor the *uncached* scheduler is itself ≥2× faster, so most of that
 margin now comes from the kernel and the cache compresses the remainder; the
 cache must still never lose throughput.  All configurations must simulate
-every trace without failures, and every run — cached or not, columnar or
-list — must produce bit-identical batch fingerprints.
+every trace without failures; the uncached service run must be
+bit-identical to the reference run, and cached runs to each other.
 """
 
 import time
 
-from repro.optable import columnar_disabled
 from repro.service import BatchSpec, SimulationService
+from tests.oracle import run_batch
 
 #: Repeated-sweep workload: distinct trace seeds × repeats.
 ARRIVAL_RATES = (0.15, 0.3)
@@ -60,10 +61,10 @@ def test_service_throughput(bench_workers):
         f"{NUM_REQUESTS} requests each)"
     )
 
-    with columnar_disabled():
-        seed_results, seed_time = _timed(
-            SimulationService(workers=1, use_cache=False), spec
-        )
+    start = time.perf_counter()
+    seed_results = run_batch(spec)
+    seed_time = time.perf_counter() - start
+    assert seed_results.failures == [], [f.error for f in seed_results.failures]
 
     baseline = SimulationService(workers=1, use_cache=False)
     baseline_results, baseline_time = _timed(baseline, spec)
@@ -75,7 +76,7 @@ def test_service_throughput(bench_workers):
     fanout_results, fanout_time = _timed(fanout, spec)
 
     rows = [
-        ("1 worker, list path", seed_time, 1.0),
+        ("reference list path", seed_time, 1.0),
         ("1 worker, cache off", baseline_time, seed_time / baseline_time),
         ("1 worker, cache on", cached_time, seed_time / cached_time),
         (
@@ -94,14 +95,14 @@ def test_service_throughput(bench_workers):
     print(f"activation cache hit rate: {hit_rate:.1%}")
 
     # Correctness before speed: the columnar path is bit-identical to the
-    # seed list path, and caching is deterministic and fan-out-invariant.
+    # reference list path, and caching is deterministic and fan-out-invariant.
     # (Cached and uncached runs differ in per-result activation accounting by
     # design, so only like-for-like configurations are compared.)
     assert baseline_results.fingerprint() == seed_results.fingerprint()
     assert cached_results.fingerprint() == fanout_results.fingerprint()
     assert hit_rate > 0.5, "repeated sweep should mostly hit the cache"
     # The headline claim: columnar kernel + cache (+ fan-out) buys at least
-    # 2× traces/sec over the seed baseline, and the cache never loses
+    # 2× traces/sec over the reference baseline, and the cache never loses
     # throughput against the uncached columnar path.
     best = max(seed_time / cached_time, seed_time / fanout_time)
     assert best >= 2.0, f"expected ≥2x traces/sec, got {best:.2f}x"

@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-(see EXPERIMENTS.md) and prints the corresponding rows/series.  The scale of
+(named in its file name, e.g. ``bench_fig3_scurve.py``) and prints the
+corresponding rows/series.  The scale of
 the underlying workload is controlled by environment variables so the same
 harness serves both quick CI runs and full-scale reproductions:
 

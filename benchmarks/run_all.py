@@ -10,12 +10,12 @@ terminal.  This runner
    session costs a fraction of running the files separately), recording the
    wall time of every benchmark test;
 2. measures the headline kernel metrics directly — scheduler activation
-   throughput on the census workload for the columnar ``repro.optable`` path
-   *and* the seed list path (the ratio is the machine-independent speedup the
-   acceptance gate tracks), per-activation search times, the incremental
-   ``repro.kernel`` arrival-handling ratio against the seed full-re-solve
-   path (``REPRO_KERNEL=0``), and the Pareto engine against the seed's
-   O(n²) reference;
+   throughput on the census workload for the columnar schedulers *and* the
+   frozen list-based reference schedulers of ``tests/oracle`` (the ratio is
+   the machine-independent speedup the acceptance gate tracks),
+   per-activation search times, the incremental ``repro.kernel``
+   arrival-handling ratio against the oracle's full re-solves, and the
+   Pareto engine against the seed's O(n²) reference;
 3. writes everything to ``BENCH_RESULTS.json`` (name → wall time, throughput,
    key metric) next to this file, or to ``--output``.
 
@@ -133,19 +133,16 @@ def _census_problems():
     return problems, {"fraction": fraction, "max_points": max_points, "seed": seed}
 
 
-def _throughput(scheduler_factory, problems, columnar: bool, repeats: int) -> float:
+def _throughput(scheduler_factory, problems, repeats: int) -> float:
     """Best activations-per-second over ``repeats`` sweeps of the census."""
-    from repro.optable import columnar_override
-
     best = float("inf")
     for _ in range(repeats):
         # A fresh scheduler per sweep: per-instance solve memos start cold.
         scheduler = scheduler_factory()
-        with columnar_override(columnar):
-            started = time.perf_counter()
-            for problem in problems:
-                scheduler.schedule(problem)
-            best = min(best, time.perf_counter() - started)
+        started = time.perf_counter()
+        for problem in problems:
+            scheduler.schedule(problem)
+        best = min(best, time.perf_counter() - started)
     return len(problems) / best
 
 
@@ -153,18 +150,20 @@ def measure_kernel_metrics(repeats: int = 3) -> dict:
     """Direct columnar-vs-list measurements (the acceptance-gate numbers)."""
     from repro.optable import intern_info
     from repro.schedulers import MMKPLRScheduler, MMKPMDFScheduler
+    from tests.oracle import MMKPLROracle, MMKPMDFOracle
 
     problems, scale = _census_problems()
     metrics: dict = {"scale": scale, "census_cases": len(problems)}
 
-    # Fig. 2 hot path: MMKP-MDF activation throughput over the census.
+    # Fig. 2 hot path: activation throughput over the census, production
+    # scheduler against its list-based reference twin.
     schedulers = {
-        "mmkp-mdf": MMKPMDFScheduler,
-        "mmkp-lr": MMKPLRScheduler,
+        "mmkp-mdf": (MMKPMDFScheduler, MMKPMDFOracle),
+        "mmkp-lr": (MMKPLRScheduler, MMKPLROracle),
     }
-    for name, factory in schedulers.items():
-        columnar = _throughput(factory, problems, True, repeats)
-        legacy = _throughput(factory, problems, False, repeats)
+    for name, (factory, oracle_factory) in schedulers.items():
+        columnar = _throughput(factory, problems, repeats)
+        legacy = _throughput(oracle_factory, problems, repeats)
         metrics[f"scheduling_rate/{name}"] = {
             "throughput_columnar_per_s": round(columnar, 2),
             "throughput_list_per_s": round(legacy, 2),
@@ -173,7 +172,8 @@ def measure_kernel_metrics(repeats: int = 3) -> dict:
             "mean_search_time_list_s": round(1.0 / legacy, 6),
         }
 
-    # repro.kernel: incremental arrival handling against seed full re-solves.
+    # repro.kernel: incremental arrival handling against the oracle's full
+    # re-solves (reference manager + list-based MMKP-MDF).
     # Setup and measurement come from bench_kernel_incremental itself, so
     # the gated CI metric can never drift from the workload the pytest bench
     # records (same REPRO_BENCH_KERNEL_* knobs, same seed, same best-of-N).
@@ -183,14 +183,14 @@ def measure_kernel_metrics(repeats: int = 3) -> dict:
 
     platform, kernel_tables, kernel_trace = kernel_bench._setup()
     kernel_s, kernel_log = kernel_bench._best_run_time(
-        platform, kernel_tables, kernel_trace, True, repeats=repeats
+        platform, kernel_tables, kernel_trace, oracle=False, repeats=repeats
     )
     seed_s, seed_log = kernel_bench._best_run_time(
-        platform, kernel_tables, kernel_trace, False, repeats=repeats
+        platform, kernel_tables, kernel_trace, oracle=True, repeats=repeats
     )
     assert kernel_bench.log_fingerprint(kernel_log) == kernel_bench.log_fingerprint(
         seed_log
-    ), "incremental kernel diverged from the seed path"
+    ), "incremental kernel diverged from the full-re-solve oracle"
     metrics["kernel_incremental"] = {
         "arrivals": len(kernel_trace),
         "acceptance_rate": round(kernel_log.acceptance_rate, 3),
@@ -459,8 +459,11 @@ def main(argv: list[str] | None = None) -> int:
             os.environ.setdefault(key, value)
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
+    # The frozen reference implementations (tests/oracle) are the comparators
+    # of the scheduling-rate and kernel-incremental ratios.
+    sys.path.insert(0, str(REPO_ROOT))
 
-    from repro.optable import HAVE_NUMPY, columnar_enabled
+    from repro.optable import HAVE_NUMPY
 
     results: dict = {
         "meta": {
@@ -468,7 +471,6 @@ def main(argv: list[str] | None = None) -> int:
             "platform": platform_module.platform(),
             "smoke": options.smoke,
             "numpy_fast_path": HAVE_NUMPY,
-            "optable_default": columnar_enabled(),
             "bench_env": {
                 key: os.environ.get(key)
                 for key in (

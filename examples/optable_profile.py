@@ -8,9 +8,9 @@ Demonstrates the three pillars of ``repro.optable``:
    hits count tables that were reused instead of rebuilt);
 2. **Shared aggregates** — sort orders / minima / the Pareto index are
    computed once per interned table, not once per job per activation;
-3. **Throughput** — the same census workload scheduled through the columnar
-   path and the seed ``list[OperatingPoint]`` path, with the speedup the
-   benchmark gate tracks.
+3. **Throughput** — the census workload scheduled through the columnar
+   schedulers (``benchmarks/run_all.py`` reports the speedup over the
+   list-based reference schedulers that the benchmark gate tracks).
 
 Run with::
 
@@ -20,12 +20,7 @@ Run with::
 import time
 
 from repro.dse import paper_operating_points, reduced_tables
-from repro.optable import (
-    as_optable,
-    clear_intern_pool,
-    columnar_override,
-    intern_info,
-)
+from repro.optable import as_optable, clear_intern_pool, intern_info
 from repro.platforms import odroid_xu4
 from repro.schedulers import MMKPLRScheduler, MMKPMDFScheduler
 from repro.workload import EvaluationSuite
@@ -78,31 +73,22 @@ def main() -> None:
     print(f"  Pareto index      : {sample.pareto_index}")
 
     # ------------------------------------------------------------------ #
-    # 3. Columnar vs list throughput on the census workload
+    # 3. Columnar throughput on the census workload
     # ------------------------------------------------------------------ #
     print("== scheduling throughput (census workload, best of 3) ==")
     cache_info = None
     for name, factory in (("mmkp-mdf", MMKPMDFScheduler), ("mmkp-lr", MMKPLRScheduler)):
-        rates = {}
-        for label, enabled in (("columnar", True), ("list", False)):
-            best = float("inf")
-            for _ in range(3):
-                scheduler = factory()
-                with columnar_override(enabled):
-                    started = time.perf_counter()
-                    for problem in problems:
-                        scheduler.schedule(problem)
-                    best = min(best, time.perf_counter() - started)
-            rates[label] = len(problems) / best
-            if name == "mmkp-lr" and enabled:
-                cache_info = scheduler.solve_cache.info()
-        print(
-            f"  {name}: {rates['columnar']:.0f}/s columnar vs "
-            f"{rates['list']:.0f}/s list "
-            f"({rates['columnar'] / rates['list']:.2f}x)"
-        )
+        best = float("inf")
+        for _ in range(3):
+            scheduler = factory()
+            started = time.perf_counter()
+            for problem in problems:
+                scheduler.schedule(problem)
+            best = min(best, time.perf_counter() - started)
+        if name == "mmkp-lr":
+            cache_info = scheduler.solve_cache.info()
+        print(f"  {name}: {len(problems) / best:.0f} activations/s")
     print(f"  Lagrangian solve cache after mmkp-lr sweep: {cache_info}")
-
 
 if __name__ == "__main__":
     main()

@@ -1,10 +1,29 @@
-"""Setup shim.
+"""Package metadata and the ``repro-rm`` command-line entry point.
 
-The project is fully described by ``pyproject.toml``; this file only exists so
-that legacy editable installs (``pip install -e . --no-use-pep517``) work in
-offline environments whose setuptools lacks PEP 660 support.
+Install with ``pip install .`` (or ``pip install -e .`` for development).
+The library has no required runtime dependencies; numpy is picked up when
+present.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_VERSION_FILE = Path(__file__).resolve().parent / "src" / "repro" / "version.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"', _VERSION_FILE.read_text(), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    description=(
+        "Energy-efficient runtime resource management for adaptable "
+        "multi-application mapping (MMKP-MDF runtime manager)"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    entry_points={"console_scripts": ["repro-rm=repro.cli:main"]},
+)

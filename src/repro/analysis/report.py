@@ -1,8 +1,8 @@
 """Plain-text renderings of the paper's tables and figures.
 
-The benchmark harness prints these so the regenerated rows/series can be
-compared side by side with the numbers reported in the paper (see
-EXPERIMENTS.md).
+The benchmark harness (``benchmarks/bench_*.py``, one file per table or
+figure) prints these so the regenerated rows/series can be compared side by
+side with the numbers reported in the paper.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from repro.core.config import ConfigTable, OperatingPoint
 from repro.core.request import Job
 from repro.exceptions import SchedulingError
-from repro.optable.runtime import columnar_enabled
 from repro.platforms.resources import ResourceVector
 
 #: Numerical slack for time comparisons (seconds).
@@ -167,28 +166,17 @@ class MappingSegment:
 
     def energy(self, tables: Mapping[str, ConfigTable]) -> float:
         """Energy consumed during the segment (one summand of objective (2a))."""
-        if columnar_enabled():
-            duration = self._end - self._start
-            total = 0.0
-            for mapping in self._mappings:
-                try:
-                    table = tables[mapping.application].optable
-                except KeyError:
-                    raise SchedulingError(
-                        f"no configuration table for application "
-                        f"{mapping.application!r}"
-                    ) from None
-                config_index = mapping.config_index
-                total += (
-                    table.energies[config_index]
-                    * duration
-                    / table.times[config_index]
-                )
-            return total
+        duration = self._end - self._start
         total = 0.0
         for mapping in self._mappings:
-            point = mapping.operating_point(tables)
-            total += point.energy * self.duration / point.execution_time
+            try:
+                table = tables[mapping.application].optable
+            except KeyError:
+                raise SchedulingError(
+                    f"no configuration table for application {mapping.application!r}"
+                ) from None
+            config_index = mapping.config_index
+            total += table.energies[config_index] * duration / table.times[config_index]
         return total
 
     def progress_of(self, job_name: str, tables: Mapping[str, ConfigTable]) -> float:

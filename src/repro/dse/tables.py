@@ -77,7 +77,8 @@ def reduced_tables(
 
     The exhaustive EX-MEM reference scheduler is exponential in the table
     sizes; the benchmark harness uses this helper to keep its runs tractable
-    (the restriction is documented in EXPERIMENTS.md).  The selection keeps
+    (``REPRO_BENCH_MAX_POINTS`` in ``benchmarks/conftest.py`` sets the cap,
+    8 points by default).  The selection keeps
     the extreme points (most energy-efficient and fastest) and fills the rest
     evenly along the execution-time axis, so the reduced tables still span the
     whole latency/energy trade-off the schedulers rely on.

@@ -6,7 +6,7 @@ delta-based admission pipeline:
 
 * :class:`AdmissionPipeline` / :class:`KernelRun` — the composable
   ``snapshot → candidates → solve → commit`` stages the runtime manager
-  drives instead of its inline seed path.
+  drives on every arrival and remap.
 * :class:`ScheduleState` / :class:`LoadLedger` — the explicit, incrementally
   maintained companion of the committed schedule: O(1) committed completion
   times, the ghost-prune gate and shared per-segment busy-core rows for the
@@ -18,27 +18,19 @@ delta-based admission pipeline:
 * :class:`KernelCaches` — content-keyed warm starts (table slices, MMKP-LR
   relaxations, EX-MEM candidate columns) shared across runs, batch jobs and
   DSE sweep points.
-* :func:`kernel_enabled` & friends — the ``REPRO_KERNEL`` switch that keeps
-  the seed full-re-solve path alive for equivalence testing and
-  like-for-like benchmarking (``REPRO_KERNEL=0``).
 
 Everything the kernel does is an *exact* transformation: resumed packer
 prefixes replay the identical float operations from the identical state,
 ledger reads return the identical integers a segment rescan would sum, and
 cache keys embed table fingerprints plus exact ratios — so schedules, batch
-fingerprints and energy totals are bit-identical to the seed path, which
-``tests/kernel/test_equivalence.py`` asserts for all four schedulers.
+fingerprints and energy totals are bit-identical to full re-solves, which
+``tests/kernel/test_kernel_equivalence.py`` asserts for all four schedulers
+against the frozen full-re-solve oracle in ``tests/oracle/``.
 """
 
 from repro.kernel.caches import KernelCaches, tables_key
 from repro.kernel.packmemo import PackMemo
 from repro.kernel.pipeline import AdmissionPipeline, KernelRun
-from repro.kernel.runtime import (
-    kernel_disabled,
-    kernel_enabled,
-    kernel_override,
-    set_kernel_enabled,
-)
 from repro.kernel.state import LoadLedger, ScheduleState
 
 __all__ = [
@@ -48,9 +40,5 @@ __all__ = [
     "LoadLedger",
     "PackMemo",
     "ScheduleState",
-    "kernel_disabled",
-    "kernel_enabled",
-    "kernel_override",
-    "set_kernel_enabled",
     "tables_key",
 ]

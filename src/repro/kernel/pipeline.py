@@ -1,8 +1,7 @@
 """The composable admission pipeline (``snapshot → candidates → solve → commit``).
 
-This is the decision path that used to live inline in
-``RuntimeManager._handle_arrival`` / ``_reschedule_at``, extracted into four
-named stages over an explicit :class:`~repro.kernel.state.ScheduleState`:
+This is the runtime manager's decision path, as four named stages over an
+explicit :class:`~repro.kernel.state.ScheduleState`:
 
 ``snapshot``
     Capture the arrival: materialise the :class:`~repro.core.request.Job`,
@@ -19,16 +18,15 @@ named stages over an explicit :class:`~repro.kernel.state.ScheduleState`:
     The delta machinery lives below this stage: the EDF packer resumes from
     placement prefixes shared with the activation's previous probe, falling
     back to a full re-pack whenever the prefix diverges — which is what
-    keeps every schedule bit-identical to the seed's full re-solve.
+    keeps every schedule bit-identical to a full re-solve.
 ``commit``
     Prune, apply the governor, check the energy envelope and install the
     schedule — sharing one :class:`~repro.kernel.state.LoadLedger` across
     the governor, the budget check and the committed-state rebind.
 
 The stages are ordinary methods, so subclasses (or tests) can compose or
-instrument them individually; the runtime manager drives :meth:`admit` and
-:meth:`reschedule` when ``REPRO_KERNEL`` is enabled and keeps its seed
-inline path alive for ``REPRO_KERNEL=0``.
+instrument them individually; the runtime manager drives :meth:`admit` on
+every arrival and :meth:`reschedule` on every remap-on-finish.
 """
 
 from __future__ import annotations
@@ -118,10 +116,16 @@ class AdmissionPipeline:
     def candidates(self, ctx, now: float) -> list[Job]:
         """Stage 2: the active jobs as scheduler candidates.
 
-        Mirrors the seed's ``_active_for_problem`` (see its docstring for
-        the overdue-deadline relaxation), but reads committed completion
-        times from the schedule state's ledger instead of scanning the
-        committed segments per overdue job.
+        Under deadline-violating governors (powersave, ondemand) an admitted
+        job can still be running past its deadline when the next activation
+        fires.  Its deadline is relaxed to its committed completion time —
+        the in-force schedule is a feasibility witness for that bound — so
+        the overdue job stays schedulable and new arrivals are judged on
+        capacity, not doomed by an already-lost deadline.  The true deadline
+        is kept for the outcome report.  Without a governor committed
+        schedules always meet their deadlines and this is the identity.
+        Committed completion times are read in O(1) from the schedule
+        state's ledger.
         """
         state = ctx.kernel.state
         candidates = []
@@ -173,7 +177,7 @@ class AdmissionPipeline:
     # Drivers
     # ------------------------------------------------------------------ #
     def admit(self, ctx, event: "RequestEvent") -> None:
-        """The kernel twin of the seed ``_handle_arrival`` decision path."""
+        """Decide one arrival: admit and commit, or reject."""
         manager = self._manager
         with obs.span("phase.snapshot", category="pipeline"):
             job = self.snapshot(ctx, event)
@@ -226,7 +230,7 @@ class AdmissionPipeline:
                 manager._emit_decision(ctx, event, False, result, reason="infeasible")
 
     def reschedule(self, ctx, time: float) -> None:
-        """The kernel twin of ``_reschedule_at`` (remap on finish)."""
+        """Re-solve the remaining jobs after a finish (remap on finish)."""
         manager = self._manager
         with obs.span("phase.candidates", category="pipeline"):
             candidate_jobs = self.candidates(ctx, time)

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
+from repro.core.segment import TIME_EPSILON
+
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.core.segment import MappingSegment, Schedule
     from repro.optable.table import OpTable
-
-#: Matches the runtime manager's boundary tolerance.
-_TIME_EPSILON = 1e-9
 
 
 class LoadLedger:
@@ -124,7 +123,7 @@ class ScheduleState:
         segment ends answers the question without scanning.
         """
         job_last_end = self.job_last_end
-        boundary = now + _TIME_EPSILON
+        boundary = now + TIME_EPSILON
         for name in finished:
             end = job_last_end.get(name)
             if end is not None and end > boundary:

@@ -18,9 +18,10 @@ of re-materialising ad-hoc point lists per activation:
   MMKP weight rows) shared across segments — and :class:`SolveCache`, the
   thread-safe LRU memo (keyed by table fingerprints) each MMKP-LR scheduler
   instance owns for its Lagrangian segment relaxations.
-* :func:`columnar_enabled` & friends — the switch that keeps the seed
-  ``list[OperatingPoint]`` paths alive for equivalence testing and
-  like-for-like benchmarking (``REPRO_OPTABLE=0``).
+
+Every decision layer reads these columns; there is no list-based fallback
+path.  The original ``list[OperatingPoint]`` implementations live on only as
+the frozen test oracle the equivalence suites compare against.
 
 Boundary rule: every public API keeps accepting ``list[OperatingPoint]`` /
 ``ConfigTable``; :func:`as_optable` (and the lazy ``ConfigTable.optable``
@@ -35,12 +36,6 @@ from repro.optable.adapters import (
     to_config_table,
 )
 from repro.optable.frontier import ParetoFrontier, pareto_select
-from repro.optable.runtime import (
-    columnar_disabled,
-    columnar_enabled,
-    columnar_override,
-    set_columnar_enabled,
-)
 from repro.optable.table import (
     OpTable,
     as_optable,
@@ -60,15 +55,11 @@ __all__ = [
     "as_optable",
     "bind_intern_store",
     "clear_intern_pool",
-    "columnar_disabled",
-    "columnar_enabled",
-    "columnar_override",
     "fingerprint_points",
     "intern_info",
     "iter_point_rows",
     "optables_for",
     "pareto_select",
     "segment_busy_counts",
-    "set_columnar_enabled",
     "to_config_table",
 ]

@@ -41,17 +41,14 @@ admission decisions, the executed timeline and the total consumed energy.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Mapping
-
 import inspect
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.api.events import RunEvent, RunEventKind
 from repro.core.config import ConfigTable
-from repro.core.problem import SchedulingProblem
 from repro.core.request import Job
-from repro.core.segment import MappingSegment, Schedule
+from repro.core.segment import MappingSegment, Schedule, TIME_EPSILON
 from repro.energy.accounting import EnergyMeter
 from repro.energy.budget import EnergyBudget
 from repro.energy.governor import FrequencyGovernor, stretch_schedule
@@ -59,11 +56,9 @@ from repro.energy.opp import OPPDecision, decide, ensure_opps
 from repro.exceptions import AdmissionError, SchedulingError
 from repro.kernel.caches import KernelCaches
 from repro.kernel.pipeline import AdmissionPipeline, KernelRun
-from repro.kernel.runtime import kernel_enabled
 from repro.kernel.state import LoadLedger
 from repro.obs import tracer as obs
 from repro.optable.adapters import optables_for
-from repro.optable.runtime import columnar_enabled
 from repro.platforms.platform import Platform
 from repro.platforms.resources import ResourceVector
 from repro.runtime.log import ExecutedInterval, ExecutionLog, RequestOutcome
@@ -76,7 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
 
 #: Remaining-ratio threshold below which a job counts as completed.
 _FINISH_TOLERANCE = 1e-6
-_TIME_EPSILON = 1e-9
 
 #: The supported time-advance engines.
 ENGINES = ("events", "linear")
@@ -129,8 +123,7 @@ class _RunContext:
     #: describe transitions the manager performs anyway, so observed and
     #: unobserved runs produce bit-identical logs.
     observer: Callable[[RunEvent], None] | None = None
-    #: Incremental-kernel context of this run (``None`` when the kernel is
-    #: disabled, i.e. ``REPRO_KERNEL=0`` or non-columnar mode): shared
+    #: Incremental-kernel context of this run (set by ``run()``): shared
     #: warm-start caches, the explicit schedule state and delta counters.
     kernel: KernelRun | None = None
 
@@ -179,9 +172,7 @@ class RuntimeManager:
     :meth:`from_components` is the canonical programmatic constructor and
     :meth:`from_spec` builds a manager straight from a declarative
     :class:`~repro.api.spec.ExperimentSpec` (most callers should go through
-    :class:`repro.api.Session` instead).  The historical keyword form
-    ``RuntimeManager(platform, tables, scheduler, ...)`` still works and
-    produces bit-identical logs, but emits a :class:`DeprecationWarning`.
+    :class:`repro.api.Session` instead).  They are the only constructors.
 
     Examples
     --------
@@ -196,35 +187,6 @@ class RuntimeManager:
     >>> log.acceptance_rate
     1.0
     """
-
-    def __init__(
-        self,
-        platform: Platform | ResourceVector,
-        tables: Mapping[str, ConfigTable],
-        scheduler: Scheduler,
-        remap_on_finish: bool = False,
-        engine: str = "events",
-        governor: FrequencyGovernor | None = None,
-        budget: EnergyBudget | None = None,
-        account_energy: bool = True,
-    ):
-        warnings.warn(
-            "direct RuntimeManager(...) construction is deprecated; use "
-            "RuntimeManager.from_components(...), RuntimeManager.from_spec(spec) "
-            "or repro.api.Session",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._configure(
-            platform,
-            tables,
-            scheduler,
-            remap_on_finish=remap_on_finish,
-            engine=engine,
-            governor=governor,
-            budget=budget,
-            account_energy=account_energy,
-        )
 
     @classmethod
     def from_components(
@@ -396,20 +358,18 @@ class RuntimeManager:
             # Even before the first commit the platform idles at nominal
             # frequency; analytical accounting starts from that decision.
             ctx.decision = decide(self._platform, 1.0)
-        if kernel_enabled() and columnar_enabled():
-            ctx.kernel = KernelRun(
-                self._kernel_caches,
-                self._kernel_caches.shared_slices(self._capacity, self._tables),
-            )
-            # Immediately before the try whose finally releases it, so a
-            # failing run can never leave the scheduler's adoption dangling.
-            self._scheduler.begin_run(ctx.kernel)
+        ctx.kernel = KernelRun(
+            self._kernel_caches,
+            self._kernel_caches.shared_slices(self._capacity, self._tables),
+        )
+        # Immediately before the try whose finally releases it, so a failing
+        # run can never leave the scheduler's adoption dangling.
+        self._scheduler.begin_run(ctx.kernel)
         with obs.span(
             "rm.run",
             category="runtime",
             scheduler=self._scheduler.name,
             engine=engine,
-            kernel=ctx.kernel is not None,
         ) as run_span:
             try:
                 if engine == "events":
@@ -417,8 +377,7 @@ class RuntimeManager:
                 else:
                     self._run_linear(trace, ctx)
             finally:
-                if ctx.kernel is not None:
-                    self._scheduler.end_run(ctx.kernel)
+                self._scheduler.end_run(ctx.kernel)
             self._finalise_outcomes(ctx)
             run_span.annotate(
                 requests=len(ctx.log.outcomes),
@@ -428,12 +387,9 @@ class RuntimeManager:
                 makespan=ctx.log.makespan,
             )
         if observer is not None:
-            if ctx.kernel is not None:
-                # One summary event of the incremental engine's delta work;
-                # purely observational, like every other stream event.
-                observer(
-                    RunEvent(RunEventKind.KERNEL, ctx.now, data=ctx.kernel.summary())
-                )
+            # One summary event of the incremental engine's delta work;
+            # purely observational, like every other stream event.
+            observer(RunEvent(RunEventKind.KERNEL, ctx.now, data=ctx.kernel.summary()))
             observer(RunEvent(RunEventKind.END, ctx.now, data={"log": ctx.log}))
         return ctx.log
 
@@ -484,67 +440,8 @@ class RuntimeManager:
             self._admit_arrival(ctx, event)
 
     def _admit_arrival(self, ctx: _RunContext, event: RequestEvent) -> None:
-        if ctx.kernel is not None:
-            # The incremental kernel's admission pipeline (snapshot →
-            # candidates → solve → commit); the inline body below is the
-            # seed path kept alive for REPRO_KERNEL=0.
-            self._pipeline.admit(ctx, event)
-            return
-        job = Job(
-            name=event.name,
-            application=event.application,
-            arrival=event.time,
-            deadline=event.absolute_deadline,
-        )
-        ctx.request_info[event.name] = event
-        if ctx.observer is not None:
-            ctx.observer(
-                RunEvent(
-                    RunEventKind.ARRIVAL,
-                    event.time,
-                    event.name,
-                    {
-                        "application": event.application,
-                        "deadline": event.absolute_deadline,
-                    },
-                )
-            )
-        candidate_jobs = self._active_for_problem(ctx, event.time) + [job]
-        problem = SchedulingProblem(
-            self._capacity, self._tables, candidate_jobs, now=event.time
-        )
-        result = self._scheduler.schedule(problem)
-        ctx.log.activations += 1
-
-        if result.feasible:
-            candidates = dict(ctx.active)
-            candidates[job.name] = job
-            plan = self._plan(ctx, result.schedule, candidates)
-            if self._budget is not None:
-                verdict = self._budget.admits(
-                    plan.schedule,
-                    self._tables,
-                    now=event.time,
-                    consumed_joules=ctx.log.total_energy,
-                    platform=self._platform,
-                    decision=plan.decision,
-                )
-                if not verdict:
-                    # Deadline-feasible but over the power/energy envelope:
-                    # rejected like an infeasible request.
-                    ctx.log.budget_rejections += 1
-                    ctx.admissions[event.name] = (False, result.search_time)
-                    self._emit_decision(ctx, event, False, result, reason="budget")
-                    return
-            ctx.active[job.name] = job
-            self._commit(ctx, plan=plan)
-            ctx.admissions[event.name] = (True, result.search_time)
-            self._emit_decision(ctx, event, True, result)
-        else:
-            # The new request is rejected; the previously committed schedule
-            # keeps serving the already admitted jobs.
-            ctx.admissions[event.name] = (False, result.search_time)
-            self._emit_decision(ctx, event, False, result, reason="infeasible")
+        """Decide one arrival through the kernel's admission pipeline."""
+        self._pipeline.admit(ctx, event)
 
     def _emit_decision(
         self,
@@ -581,13 +478,13 @@ class RuntimeManager:
         schedule, every cluster moves to the slowest OPP sustaining it and
         the schedule stretches by the inverse speed.
 
-        ``fresh=True`` (kernel pipeline only) marks a schedule the scheduler
-        just produced: every mapped job is a problem job and every problem
-        job is active, so the ghost prune is the identity by construction
-        and the scan is skipped.  ``ledger`` shares busy-count rows between
-        the governor and the budget admission check.
+        ``fresh=True`` marks a schedule the scheduler just produced: every
+        mapped job is a problem job and every problem job is active, so the
+        ghost prune is the identity by construction and the scan is skipped.
+        ``ledger`` shares busy-count rows between the governor and the
+        budget admission check.
         """
-        if not (fresh and ctx.kernel is not None):
+        if not fresh:
             schedule = self._without_finished(schedule, active, ctx.now)
         if self._governor is None:
             return _Plan(schedule)
@@ -617,33 +514,23 @@ class RuntimeManager:
             schedule = stretch_schedule(schedule, ctx.now, scale)
         return _Plan(schedule, scale, decide(self._platform, scale))
 
-    def _commit(
-        self,
-        ctx: _RunContext,
-        schedule: Schedule | None = None,
-        plan: _Plan | None = None,
-    ) -> None:
-        """Install a schedule as the in-force schedule.
+    def _commit(self, ctx: _RunContext, plan: _Plan) -> None:
+        """Install a planned schedule as the in-force schedule.
 
-        Callers either pass a raw ``schedule`` (planned here) or a ``plan``
-        prepared by :meth:`_plan` (the arrival path, which plans early for
-        the budget admission check).  Mappings of jobs that are no longer
-        active are dropped and segments that become empty disappear, so the
-        executed timeline never carries ghost entries for finished jobs.
-        The segment cursor resets and, in event-engine runs, the schedule's
-        boundary events are queued under a fresh epoch (stale events of the
-        superseded schedule are skipped on pop).
+        ``plan`` comes from :meth:`_plan` (ghost mappings of finished jobs
+        already pruned, governor speed applied), so the executed timeline
+        never carries ghost entries for finished jobs.  The segment cursor
+        resets and, in event-engine runs, the schedule's boundary events are
+        queued under a fresh epoch (stale events of the superseded schedule
+        are skipped on pop).
         """
-        if plan is None:
-            plan = self._plan(ctx, schedule, ctx.active)
         ctx.schedule = plan.schedule
         if self._governor is not None:
             ctx.speed = plan.speed
             ctx.decision = plan.decision
         ctx.cursor = 0
         ctx.epoch += 1
-        if ctx.kernel is not None:
-            ctx.kernel.state.rebind(ctx.schedule)
+        ctx.kernel.state.rebind(ctx.schedule)
         if ctx.observer is not None:
             ctx.observer(
                 RunEvent(
@@ -661,7 +548,7 @@ class RuntimeManager:
             # separate events: a job completes exactly at the end of its last
             # segment, so the boundary events already cover them.
             for segment in ctx.schedule:
-                if segment.end > ctx.now + _TIME_EPSILON:
+                if segment.end > ctx.now + TIME_EPSILON:
                     ctx.queue.push(
                         Event(segment.end, EventKind.SEGMENT_END, epoch=ctx.epoch)
                     )
@@ -673,7 +560,7 @@ class RuntimeManager:
         changed = False
         kept: list[MappingSegment] = []
         for segment in schedule:
-            if segment.end <= now + _TIME_EPSILON:
+            if segment.end <= now + TIME_EPSILON:
                 kept.append(segment)
                 continue
             live = [m for m in segment if m.job_name in active]
@@ -690,7 +577,7 @@ class RuntimeManager:
     # ------------------------------------------------------------------ #
     def _advance_to(self, ctx: _RunContext, target: float) -> None:
         """Execute the committed schedule from the current time up to ``target``."""
-        while ctx.now < target - _TIME_EPSILON:
+        while ctx.now < target - TIME_EPSILON:
             segment = self._next_segment(ctx)
             if segment is None:
                 # Nothing left to execute; jump straight to the target time.
@@ -698,21 +585,21 @@ class RuntimeManager:
                     ctx.now = target
                 return
 
-            if segment.start > ctx.now + _TIME_EPSILON:
+            if segment.start > ctx.now + TIME_EPSILON:
                 # Idle gap before the next planned segment.
-                if segment.start >= target - _TIME_EPSILON:
+                if segment.start >= target - TIME_EPSILON:
                     ctx.now = target
                     return
                 ctx.now = segment.start
                 continue
 
             interval_end = min(segment.end, target)
-            if interval_end <= ctx.now + _TIME_EPSILON:
+            if interval_end <= ctx.now + TIME_EPSILON:
                 return
             self._execute_interval(ctx, segment, ctx.now, interval_end)
             ctx.now = interval_end
 
-            if interval_end >= segment.end - _TIME_EPSILON:
+            if interval_end >= segment.end - TIME_EPSILON:
                 finished = self._collect_finished(ctx, segment.end)
                 if finished and self._remap_on_finish and ctx.active:
                     self._reschedule_at(ctx, ctx.now)
@@ -727,7 +614,7 @@ class RuntimeManager:
         segments = ctx.schedule.segments
         while (
             ctx.cursor < len(segments)
-            and segments[ctx.cursor].end <= ctx.now + _TIME_EPSILON
+            and segments[ctx.cursor].end <= ctx.now + TIME_EPSILON
         ):
             ctx.cursor += 1
         if ctx.cursor < len(segments):
@@ -828,17 +715,16 @@ class RuntimeManager:
                 if ctx.observer is not None:
                     ctx.observer(RunEvent(RunEventKind.FINISH, time, name))
         if finished and ctx.active:
+            # The ledger knows each job's last committed segment end, so the
+            # common no-ghost case skips the prune scan entirely; the scan
+            # only runs when it will produce a changed schedule (the gate
+            # mirrors its boundary comparison).
             kernel = ctx.kernel
-            if kernel is not None:
-                # The ledger knows each job's last committed segment end, so
-                # the common no-ghost case skips the prune scan entirely;
-                # the scan only runs when it will produce a changed
-                # schedule (the gate mirrors its boundary comparison).
-                kernel.state.dirty.update(finished)
-                if not kernel.state.needs_prune(finished, ctx.now):
-                    kernel.stats["prunes_skipped"] += 1
-                    return finished
-                kernel.stats["prune_scans"] += 1
+            kernel.state.dirty.update(finished)
+            if not kernel.state.needs_prune(finished, ctx.now):
+                kernel.stats["prunes_skipped"] += 1
+                return finished
+            kernel.stats["prune_scans"] += 1
             pruned = self._without_finished(ctx.schedule, ctx.active, ctx.now)
             if pruned is not ctx.schedule:
                 # Prune-only commit: the in-force schedule is already planned
@@ -847,46 +733,10 @@ class RuntimeManager:
                 self._commit(ctx, plan=_Plan(pruned, ctx.speed, ctx.decision))
         return finished
 
-    def _active_for_problem(self, ctx: _RunContext, now: float) -> list[Job]:
-        """The active jobs as scheduler candidates.
-
-        Under deadline-violating governors (powersave, ondemand) an admitted
-        job can still be running past its deadline when the next activation
-        fires.  Its deadline is relaxed to its committed completion time —
-        the in-force schedule is a feasibility witness for that bound — so
-        the overdue job stays schedulable and new arrivals are judged on
-        capacity, not doomed by an already-lost deadline.  The true deadline
-        is kept for the outcome report.  Without a governor committed
-        schedules always meet their deadlines and this is the identity.
-        """
-        candidates = []
-        for job in ctx.active.values():
-            if job.deadline < now:
-                committed = ctx.schedule.completion_time(job.name)
-                relaxed = max(now, committed if committed is not None else now)
-                candidates.append(replace(job, deadline=relaxed))
-            else:
-                candidates.append(job)
-        return candidates
-
     def _reschedule_at(self, ctx: _RunContext, time: float) -> None:
         """Re-activate the scheduler for the remaining jobs (remap on finish)."""
         with obs.span("rm.reschedule", category="runtime"):
-            if ctx.kernel is not None:
-                self._pipeline.reschedule(ctx, time)
-                return
-            problem = SchedulingProblem(
-                self._capacity,
-                self._tables,
-                self._active_for_problem(ctx, time),
-                now=time,
-            )
-            result = self._scheduler.schedule(problem)
-            ctx.log.activations += 1
-            if result.feasible:
-                self._commit(ctx, result.schedule)
-            # If rescheduling fails the previously committed schedule (which
-            # is still feasible for the remaining jobs) stays in force.
+            self._pipeline.reschedule(ctx, time)
 
     # ------------------------------------------------------------------ #
     # Final bookkeeping

@@ -65,7 +65,7 @@ class Scheduler(abc.ABC):
     # Incremental-kernel hooks
     # ------------------------------------------------------------------ #
     def begin_run(self, kernel) -> None:
-        """Hook: a runtime-manager run is starting under the incremental kernel.
+        """Hook: a runtime-manager run is starting.
 
         ``kernel`` is the run's :class:`~repro.kernel.pipeline.KernelRun`;
         its :attr:`~repro.kernel.pipeline.KernelRun.caches` carry
@@ -73,8 +73,9 @@ class Scheduler(abc.ABC):
         EX-MEM candidate columns) that survive across runs and batch jobs.
         Schedulers adopt what helps them — any reuse must be keyed so a hit
         is bit-identical to a fresh computation (fingerprints + exact
-        ratios, like :class:`~repro.optable.view.SolveCache`).  The default
-        is a no-op; the hook is never called with ``REPRO_KERNEL=0``.
+        ratios, like :class:`~repro.optable.view.SolveCache`).  Every
+        runtime-manager run calls it once, before the first activation; the
+        default is a no-op.
         """
 
     def end_run(self, kernel) -> None:

@@ -27,11 +27,10 @@ from typing import Iterator, Mapping, Sequence
 from repro.core.config import ConfigTable, OperatingPoint
 from repro.core.problem import SchedulingProblem
 from repro.core.request import Job
-from repro.core.segment import JobMapping, MappingSegment, Schedule
+from repro.core.segment import JobMapping, MappingSegment, Schedule, TIME_EPSILON
 from repro.schedulers.base import Scheduler, SchedulingResult
 
 _RATIO_EPSILON = 1e-9
-_TIME_EPSILON = 1e-9
 #: Number of decimal digits used to quantise memoisation keys.
 _KEY_DIGITS = 6
 
@@ -293,7 +292,7 @@ class ExMemScheduler(Scheduler):
         if segment_end == float("inf"):
             return None
         duration = segment_end - now
-        if duration <= _TIME_EPSILON:
+        if duration <= TIME_EPSILON:
             return None
 
         estimate = 0.0
@@ -366,7 +365,7 @@ class ExMemScheduler(Scheduler):
                 now + times[assignment[state.name]] * state.remaining_ratio,
             )
         duration = segment_end - now
-        if duration <= _TIME_EPSILON:
+        if duration <= TIME_EPSILON:
             return float("inf"), None
 
         # Segment energy and new job states.

@@ -20,24 +20,15 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.config import ConfigTable, OperatingPoint
 from repro.core.problem import SchedulingProblem
 from repro.core.request import Job
-from repro.core.segment import JobMapping, MappingSegment, Schedule
-from repro.knapsack import (
-    MMKPItem,
-    MMKPProblem,
-    solve_lagrangian,
-    solve_lagrangian_many,
-)
+from repro.core.segment import JobMapping, MappingSegment, Schedule, TIME_EPSILON
+from repro.knapsack import MMKPProblem, solve_lagrangian, solve_lagrangian_many
 from repro.obs import tracer as obs
-from repro.optable.runtime import columnar_enabled
 from repro.optable.view import ProblemView, SolveCache
-from repro.platforms.resources import ResourceVector
 from repro.schedulers.base import Scheduler, SchedulingResult
 
 _RATIO_EPSILON = 1e-9
-_TIME_EPSILON = 1e-9
 
 
 @dataclass
@@ -113,10 +104,10 @@ class MMKPLRScheduler(Scheduler):
     def end_run(self, kernel) -> None:
         """Restore the instance cache adopted over in :meth:`begin_run`.
 
-        Keeps the adoption scoped to the run: a subsequent ``REPRO_KERNEL=0``
-        run on the same scheduler instance (the like-for-like benchmark
-        pattern) starts from the instance's own cold cache again, and the
-        instance drops its reference to the manager's shared store.
+        Keeps the adoption scoped to the run: a later direct
+        :meth:`schedule` call on the same instance uses the instance's own
+        cache again, and the instance drops its reference to the manager's
+        shared store.
         """
         if self._pre_run_cache is not None:
             self.solve_cache = self._pre_run_cache
@@ -129,11 +120,10 @@ class MMKPLRScheduler(Scheduler):
         """Drive :meth:`_solve_gen`, solving each requested relaxation inline.
 
         The segment logic lives in the generator; this driver answers its
-        relaxation requests one at a time, which is exactly the seed's
-        sequential behaviour.  :meth:`schedule_many` drives many generators
-        lock-step instead and answers a whole round of requests with one
-        batched solve — same generator, so the schedules are identical by
-        construction.
+        relaxation requests one at a time.  :meth:`schedule_many` drives many
+        generators lock-step instead and answers a whole round of requests
+        with one batched solve — same generator, so the schedules are
+        identical by construction.
         """
         generator = self._solve_gen(problem)
         try:
@@ -173,10 +163,6 @@ class MMKPLRScheduler(Scheduler):
         counter into same-group and cross-group shares, which is how the
         sweep engine proves that relaxations were shared *across* sweep
         points rather than merely within one.
-
-        Falls back to sequential :meth:`schedule` calls when the columnar
-        path is disabled (``REPRO_OPTABLE=0``), where no solve-cache keys
-        exist to batch on.
         """
         problems = list(problems)
         if groups is not None:
@@ -187,17 +173,6 @@ class MMKPLRScheduler(Scheduler):
                 )
         if not problems:
             return []
-        if not columnar_enabled():
-            self.last_batch_stats = {
-                "batched": False,
-                "problems": len(problems),
-                "rounds": 0,
-                "requested": 0,
-                "solved": 0,
-                "deduped": 0,
-                "cross_group_deduped": 0,
-            }
-            return [self.schedule(problem) for problem in problems]
         with obs.span(
             "solve_many", category="scheduler", scheduler=self.name
         ) as span:
@@ -290,8 +265,7 @@ class MMKPLRScheduler(Scheduler):
         only solver-facing seam, so the single-problem and batched drivers
         share every line of scheduling logic.
         """
-        columnar = columnar_enabled()
-        view = problem.view() if columnar else None
+        view = problem.view()
         pending = [
             _PendingJob(job, job.remaining_ratio)
             for job in sorted(problem.jobs, key=lambda j: j.name)
@@ -308,19 +282,11 @@ class MMKPLRScheduler(Scheduler):
             # Every unfinished job must still have a chance to meet its
             # deadline; otherwise the request set is rejected.
             for record in active:
-                if columnar:
-                    fastest = view.optable(record.job.application).min_time
-                else:
-                    fastest = problem.table_for(record.job).fastest().execution_time
+                fastest = view.optable(record.job.application).min_time
                 if now + fastest * record.remaining_ratio > record.job.deadline + 1e-6:
                     return self._reject(subgradient_iterations, segment_count)
 
-            if columnar:
-                assignment, iterations = yield from self._assign_segment_columnar(
-                    view, active, now
-                )
-            else:
-                assignment, iterations = self._assign_segment(problem, active, now)
+            assignment, iterations = yield from self._assign_segment(view, active, now)
             subgradient_iterations += iterations
             if not assignment:
                 # No job could be mapped onto the empty platform: no progress
@@ -328,27 +294,15 @@ class MMKPLRScheduler(Scheduler):
                 return self._reject(subgradient_iterations, segment_count)
 
             # The segment ends when the first mapped job finishes.
-            if columnar:
-                segment_end = min(
-                    now
-                    + view.optable(record.job.application).times[
-                        assignment[record.name]
-                    ]
-                    * record.remaining_ratio
-                    for record in active
-                    if record.name in assignment
-                )
-            else:
-                segment_end = min(
-                    now
-                    + problem.table_for(record.job)[
-                        assignment[record.name]
-                    ].remaining_time(record.remaining_ratio)
-                    for record in active
-                    if record.name in assignment
-                )
+            segment_end = min(
+                now
+                + view.optable(record.job.application).times[assignment[record.name]]
+                * record.remaining_ratio
+                for record in active
+                if record.name in assignment
+            )
             duration = segment_end - now
-            if duration <= _TIME_EPSILON:
+            if duration <= TIME_EPSILON:
                 return self._reject(subgradient_iterations, segment_count)
 
             mappings = []
@@ -358,14 +312,9 @@ class MMKPLRScheduler(Scheduler):
                 config_index = assignment[record.name]
                 first_config.setdefault(record.name, config_index)
                 mappings.append(JobMapping(record.job, config_index))
-                if columnar:
-                    execution_time = view.optable(record.job.application).times[
-                        config_index
-                    ]
-                else:
-                    execution_time = problem.table_for(record.job)[
-                        config_index
-                    ].execution_time
+                execution_time = view.optable(record.job.application).times[
+                    config_index
+                ]
                 record.remaining_ratio -= duration / execution_time
                 if record.remaining_ratio <= _RATIO_EPSILON:
                     record.remaining_ratio = 0.0
@@ -401,109 +350,15 @@ class MMKPLRScheduler(Scheduler):
     # ------------------------------------------------------------------ #
     def _assign_segment(
         self,
-        problem: SchedulingProblem,
-        active: list[_PendingJob],
-        now: float,
-    ) -> tuple[dict[str, int], int]:
-        """Pick one configuration per job for the segment starting at ``now``.
-
-        Returns the assignment (jobs left out are suspended for the segment)
-        and the number of subgradient iterations spent.
-        """
-        capacity = problem.capacity
-
-        # Build the single-segment MMKP: values are negated remaining energies,
-        # weights are the per-type core demands, capacities are the cores.
-        groups = []
-        candidates: list[list[tuple[int, OperatingPoint]]] = []
-        for record in active:
-            table = problem.table_for(record.job)
-            feasible = [
-                (index, point)
-                for index, point in enumerate(table)
-                if point.resources.fits_into(capacity)
-            ]
-            candidates.append(feasible)
-            groups.append(
-                [
-                    MMKPItem(
-                        value=-point.remaining_energy(record.remaining_ratio),
-                        weights=tuple(float(c) for c in point.resources),
-                        label=index,
-                    )
-                    for index, point in feasible
-                ]
-                or [MMKPItem(value=0.0, weights=tuple(0.0 for _ in capacity), label=None)]
-            )
-
-        mmkp = MMKPProblem([float(c) for c in capacity], groups)
-        relaxation = solve_lagrangian(mmkp, max_iterations=self._max_iterations)
-        multipliers = relaxation.multipliers
-
-        def reduced_cost(record: _PendingJob, point: OperatingPoint) -> float:
-            energy = point.remaining_energy(record.remaining_ratio)
-            penalty = sum(
-                multiplier * resource
-                for multiplier, resource in zip(multipliers, point.resources)
-            )
-            return energy + penalty
-
-        # Map jobs in increasing order of their minimum configuration cost.
-        ordering = []
-        for record, feasible in zip(active, candidates):
-            if feasible:
-                minimum = min(reduced_cost(record, point) for _, point in feasible)
-            else:
-                minimum = float("inf")
-            ordering.append((minimum, record, feasible))
-        ordering.sort(key=lambda entry: (entry[0], entry[1].name))
-
-        assignment: dict[str, int] = {}
-        remaining = capacity
-        # Estimated end of the segment under construction: the earliest
-        # completion among the jobs assigned so far.  The optimistic deadline
-        # check assumes the job switches to its fastest configuration at that
-        # point.
-        estimated_end = float("inf")
-        for _, record, feasible in ordering:
-            table = problem.table_for(record.job)
-            deadline = record.job.deadline
-            fastest = table.fastest().execution_time
-            for index, point in sorted(
-                feasible, key=lambda item: reduced_cost(record, item[1])
-            ):
-                if not point.resources.fits_into(remaining):
-                    continue
-                completion = now + point.remaining_time(record.remaining_ratio)
-                if completion <= deadline + 1e-9:
-                    accepted = True
-                else:
-                    # Optimistic check: run this configuration until the end
-                    # of the segment, then reconfigure to the fastest one.
-                    segment_end = min(estimated_end, completion)
-                    progressed = (segment_end - now) / point.execution_time
-                    left_after = max(0.0, record.remaining_ratio - progressed)
-                    accepted = (
-                        segment_end + fastest * left_after <= deadline + 1e-9
-                    )
-                if not accepted:
-                    continue
-                assignment[record.name] = index
-                remaining = remaining - point.resources
-                estimated_end = min(estimated_end, completion)
-                break
-
-        return assignment, relaxation.iterations
-
-    def _assign_segment_columnar(
-        self,
         view: ProblemView,
         active: list[_PendingJob],
         now: float,
     ):
-        """Columnar twin of :meth:`_assign_segment` (generator form).
+        """Pick one configuration per job for the segment starting at ``now``.
 
-        Builds the single-segment MMKP from the view's cached
+        Returns the assignment (jobs left out are suspended for the segment)
+        and the number of subgradient iterations spent.  Generator form:
+        builds the single-segment MMKP from the view's cached
         capacity-feasible slices (no ``MMKPItem`` churn) and memoises the
         Lagrangian solve in this scheduler's :attr:`solve_cache`, keyed by
         table fingerprints, exact remaining ratios and the capacity — a hit
@@ -565,7 +420,10 @@ class MMKPLRScheduler(Scheduler):
 
         assignment: dict[str, int] = {}
         remaining = list(capacity)
-        # Estimated end of the segment under construction (see the seed path).
+        # Estimated end of the segment under construction: the earliest
+        # completion among the jobs assigned so far.  The optimistic deadline
+        # check assumes the job switches to its fastest configuration at that
+        # point.
         estimated_end = float("inf")
         for _, record, fitting in ordering:
             table = view.optable(record.job.application)

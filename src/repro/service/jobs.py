@@ -18,7 +18,6 @@ regardless of worker count.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -39,7 +38,6 @@ from repro.io import (
 )
 from repro.platforms import Platform
 from repro.runtime.trace import RequestTrace, poisson_trace
-from repro.schedulers import Scheduler
 from repro.workload import named_tables
 
 #: The scheduler plugin registry (see :mod:`repro.api.registry`).  Kept under
@@ -53,33 +51,6 @@ PLATFORMS = _platforms
 
 #: Sentinel distinguishing "argument not passed" from an explicit ``None``.
 _UNSET = object()
-
-
-def build_scheduler(name: str) -> Scheduler:
-    """Deprecated: use ``repro.api.schedulers.build(name)``.
-
-    Kept as a shim for pre-registry call sites; behaviour (fresh instance
-    per call, :class:`WorkloadError` listing the known names on a miss) is
-    unchanged.
-    """
-    warnings.warn(
-        "repro.service.jobs.build_scheduler is deprecated; use "
-        "repro.api.schedulers.build(name)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _schedulers.build(name)
-
-
-def build_platform(name: str) -> Platform:
-    """Deprecated: use ``repro.api.platforms.build(name)``."""
-    warnings.warn(
-        "repro.service.jobs.build_platform is deprecated; use "
-        "repro.api.platforms.build(name)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _platforms.build(name)
 
 
 @dataclass(frozen=True)

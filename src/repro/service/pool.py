@@ -240,8 +240,10 @@ class BatchResults:
     def fingerprint(self) -> str:
         """A SHA-256 digest of every deterministic result field.
 
-        Two batch runs with the same specs and seeds produce the same
-        fingerprint regardless of worker count, executor or caching.
+        Two batch runs with the same specs, seeds and cache setting produce
+        the same fingerprint regardless of worker count or executor.  Cached
+        and uncached runs are not comparable: a cache hit re-anchors a
+        time-shifted schedule, which can move a float by an ulp.
         """
         digest = hashlib.sha256()
         for result in self._results:

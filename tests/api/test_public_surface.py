@@ -41,9 +41,6 @@ EXPECTED_API_ALL = [
     "as_optable",
     # incremental scheduling engine (PR 5)
     "KernelCaches",
-    "kernel_disabled",
-    "kernel_enabled",
-    "kernel_override",
 ]
 
 #: The frozen field names of every spec dataclass (order included: it is the
@@ -131,9 +128,6 @@ class TestOpTableSurface:
             "ProblemView",
             "SolveCache",
             "as_optable",
-            "columnar_disabled",
-            "columnar_enabled",
-            "columnar_override",
             "fingerprint_points",
             "intern_info",
             "pareto_select",

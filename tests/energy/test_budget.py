@@ -194,15 +194,16 @@ class TestEventEngineAdmission:
         assert log.total_energy < open_run.total_energy
 
     def test_mid_interval_rejection_agrees_across_engines_and_kernel(self):
-        from repro.kernel import kernel_disabled
-
         trace = self._mid_interval_trace()
         tight = EnergyBudget(energy_budget_joules=9.0)
         events = _run_engine("events", budget=tight, trace=trace)
         linear = _run_engine("linear", budget=tight, trace=trace)
         assert _log_key(events) == _log_key(linear)
-        with kernel_disabled():
-            seed_events = _run_engine("events", budget=tight, trace=trace)
+        from tests.oracle import oracle_manager
+
+        seed_events = oracle_manager(
+            motivational_platform(), motivational_tables(), "mmkp-mdf", budget=tight
+        ).run(trace)
         assert _log_key(events) == _log_key(seed_events)
 
     def test_governor_budget_rejection_mid_interval_on_event_engine(self):

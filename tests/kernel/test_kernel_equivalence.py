@@ -1,18 +1,17 @@
-"""Bit-identity of the incremental kernel against the seed full re-solves.
+"""Bit-identity of the incremental kernel against full re-solves.
 
-Acceptance contract of the ``repro.kernel`` refactor: schedules, batch
+Acceptance contract of the ``repro.kernel`` engine: schedules, batch
 fingerprints and energy totals must be *identical* — not merely close —
-between the delta-based admission pipeline (``REPRO_KERNEL=1``) and the seed
-full-re-solve path (``REPRO_KERNEL=0``), on the motivational workload and
-the (scaled) census, for all four schedulers (MMKP-MDF, MMKP-LR, EX-MEM and
-the EDF-packer-backed fixed mapper).
+between the delta-based admission pipeline and the frozen full-re-solve
+oracle (:mod:`tests.oracle`: reference manager plus list-based MMKP-MDF and
+MMKP-LR), on the motivational workload and the (scaled) census, for all
+four schedulers (MMKP-MDF, MMKP-LR, EX-MEM and the fixed mapper).
 """
 
 import pytest
 
 from repro.dse import paper_operating_points, reduced_tables
 from repro.energy import EnergyBudget
-from repro.kernel import kernel_disabled, kernel_override
 from repro.platforms import odroid_xu4
 from repro.runtime.manager import RuntimeManager
 from repro.runtime.trace import poisson_trace
@@ -28,8 +27,9 @@ from repro.workload.motivational import (
     motivational_tables,
     motivational_trace,
 )
+from tests.oracle import oracle_manager, oracle_scheduler, run_batch
 
-#: scheduler factory → is it census-tractable (EX-MEM is exponential).
+#: name, production factory, is it census-tractable (EX-MEM is exponential).
 SCHEDULERS = [
     ("mmkp-mdf", MMKPMDFScheduler, True),
     ("mmkp-lr", MMKPLRScheduler, True),
@@ -38,9 +38,17 @@ SCHEDULERS = [
 ]
 
 
+def reference_scheduler(name, factory):
+    """The oracle twin of a scheduler (EX-MEM and fixed have a single body)."""
+    if name in ("mmkp-mdf", "mmkp-lr"):
+        return oracle_scheduler(name)
+    return factory()
+
+
 def log_key(log):
     """Every deterministic field of an execution log, floats kept exact."""
     return (
+        log.fingerprint(),
         repr(log.total_energy),
         log.activations,
         log.budget_rejections,
@@ -72,10 +80,10 @@ class TestSchedulerActivationEquivalence:
     @pytest.mark.parametrize("name,factory,_", SCHEDULERS)
     @pytest.mark.parametrize("scenario", ["S1", "S2"])
     def test_motivational_activation(self, name, factory, _, scenario):
-        with kernel_override(True):
-            fast = factory().schedule(motivational_problem(scenario))
-        with kernel_disabled():
-            seed = factory().schedule(motivational_problem(scenario))
+        fast = factory().schedule(motivational_problem(scenario))
+        seed = reference_scheduler(name, factory).schedule(
+            motivational_problem(scenario)
+        )
         assert (fast.schedule is None) == (seed.schedule is None)
         if fast.schedule is not None:
             assert fast.schedule == seed.schedule
@@ -86,78 +94,61 @@ class TestSchedulerActivationEquivalence:
         assert dict(fast.statistics) == dict(seed.statistics)
 
 
+def _pair(name, factory, platform, tables, trace, **options):
+    """``(production log, oracle log)`` of one trace."""
+    fast = RuntimeManager.from_components(platform, tables, factory(), **options)
+    seed = oracle_manager(
+        platform, tables, reference_scheduler(name, factory), **options
+    )
+    return fast.run(trace), seed.run(trace)
+
+
 class TestRuntimeManagerEquivalence:
     @pytest.mark.parametrize("name,factory,_", SCHEDULERS)
     @pytest.mark.parametrize("scenario", ["S1", "S2"])
     @pytest.mark.parametrize("engine", ["events", "linear"])
     def test_motivational_runs(self, name, factory, _, scenario, engine):
-        def run():
-            manager = RuntimeManager.from_components(
-                motivational_platform(),
-                motivational_tables(),
-                factory(),
-                engine=engine,
-            )
-            return manager.run(motivational_trace(scenario))
-
-        with kernel_override(True):
-            fast = log_key(run())
-        with kernel_disabled():
-            seed = log_key(run())
-        assert fast == seed
+        fast, seed = _pair(
+            name,
+            factory,
+            motivational_platform(),
+            motivational_tables(),
+            motivational_trace(scenario),
+            engine=engine,
+        )
+        assert log_key(fast) == log_key(seed)
 
     @pytest.mark.parametrize(
         "name,factory",
         [(n, f) for n, f, tractable in SCHEDULERS if tractable],
     )
     def test_census_runs(self, name, factory, census_setup):
-        platform, tables, trace = census_setup
-
-        def run():
-            manager = RuntimeManager.from_components(platform, tables, factory())
-            return manager.run(trace)
-
-        with kernel_override(True):
-            fast = log_key(run())
-        with kernel_disabled():
-            seed = log_key(run())
-        assert fast == seed
+        fast, seed = _pair(name, factory, *census_setup)
+        assert log_key(fast) == log_key(seed)
 
     def test_census_run_exmem_sample(self, census_setup):
         platform, tables, _ = census_setup
         trace = poisson_trace(tables, arrival_rate=0.25, num_requests=8, seed=11)
-
-        def run():
-            manager = RuntimeManager.from_components(
-                platform, tables, ExMemScheduler(max_configs_per_job=3)
-            )
-            return manager.run(trace)
-
-        with kernel_override(True):
-            fast = log_key(run())
-        with kernel_disabled():
-            seed = log_key(run())
-        assert fast == seed
+        fast, seed = _pair(
+            "ex-mem",
+            lambda: ExMemScheduler(max_configs_per_job=3),
+            platform,
+            tables,
+            trace,
+        )
+        assert log_key(fast) == log_key(seed)
 
     @pytest.mark.parametrize("governor", ["schedule-aware", "ondemand", "powersave"])
     def test_governor_energy_totals(self, governor, census_setup):
-        platform, tables, trace = census_setup
         from repro.api.registry import governors
 
-        def run():
-            manager = RuntimeManager.from_components(
-                platform,
-                tables,
-                MMKPMDFScheduler(),
-                governor=governors.build(governor),
-            )
-            return manager.run(trace)
-
-        with kernel_override(True):
-            fast = log_key(run())
-        with kernel_disabled():
-            seed = log_key(run())
-        assert fast == seed
+        fast, seed = _pair(
+            "mmkp-mdf",
+            MMKPMDFScheduler,
+            *census_setup,
+            governor=governors.build(governor),
+        )
+        assert log_key(fast) == log_key(seed)
 
     @pytest.mark.parametrize(
         "budget",
@@ -168,37 +159,21 @@ class TestRuntimeManagerEquivalence:
         ],
     )
     def test_budget_admission_equivalence(self, budget, census_setup):
-        platform, tables, trace = census_setup
-
-        def run():
-            manager = RuntimeManager.from_components(
-                platform, tables, MMKPMDFScheduler(), budget=budget
-            )
-            return manager.run(trace)
-
-        with kernel_override(True):
-            fast = run()
-        with kernel_disabled():
-            seed = run()
+        fast, seed = _pair("mmkp-mdf", MMKPMDFScheduler, *census_setup, budget=budget)
         assert fast.budget_rejections == seed.budget_rejections
         assert log_key(fast) == log_key(seed)
 
     @pytest.mark.parametrize("name,factory,_", SCHEDULERS)
     def test_remap_on_finish_equivalence(self, name, factory, _):
-        def run():
-            manager = RuntimeManager.from_components(
-                motivational_platform(),
-                motivational_tables(),
-                factory(),
-                remap_on_finish=True,
-            )
-            return manager.run(motivational_trace("S2"))
-
-        with kernel_override(True):
-            fast = log_key(run())
-        with kernel_disabled():
-            seed = log_key(run())
-        assert fast == seed
+        fast, seed = _pair(
+            name,
+            factory,
+            motivational_platform(),
+            motivational_tables(),
+            motivational_trace("S2"),
+            remap_on_finish=True,
+        )
+        assert log_key(fast) == log_key(seed)
 
 
 class TestBatchFingerprintEquivalence:
@@ -215,15 +190,10 @@ class TestBatchFingerprintEquivalence:
             )
             for i, scheduler in enumerate(["mmkp-mdf", "mmkp-lr", "mmkp-mdf"])
         ]
-
-        def fingerprint():
-            return SimulationService().run_batch(jobs).fingerprint()
-
-        with kernel_override(True):
-            fast = fingerprint()
-        with kernel_disabled():
-            seed = fingerprint()
-        assert fast == seed
+        # Uncached: the activation cache reuses time-shifted schedules, which
+        # is not float-exact against a fresh solve.
+        fast = SimulationService(use_cache=False).run_batch(jobs).fingerprint()
+        assert fast == run_batch(jobs).fingerprint()
 
     def test_worker_count_is_immaterial_under_the_kernel(self):
         from repro.service import BatchSpec, SimulationService
@@ -231,11 +201,10 @@ class TestBatchFingerprintEquivalence:
         spec = BatchSpec.sweep(
             arrival_rates=[0.2, 0.4], traces_per_point=2, num_requests=6
         )
-        with kernel_override(True):
-            serial = SimulationService(workers=1).run_batch(spec).fingerprint()
-            threaded = (
-                SimulationService(workers=4, executor="thread")
-                .run_batch(spec)
-                .fingerprint()
-            )
+        serial = SimulationService(workers=1).run_batch(spec).fingerprint()
+        threaded = (
+            SimulationService(workers=4, executor="thread")
+            .run_batch(spec)
+            .fingerprint()
+        )
         assert serial == threaded

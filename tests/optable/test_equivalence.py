@@ -1,15 +1,15 @@
-"""Bit-identity of the columnar kernel against the seed list paths.
+"""Bit-identity of the columnar schedulers against the list-based oracle.
 
-Acceptance contract of the ``repro.optable`` refactor: schedules, batch
+Acceptance contract of the ``repro.optable`` kernel: schedules, batch
 fingerprints and energy accounting must be *identical* — not merely close —
-between the columnar fast paths and the seed ``list[OperatingPoint]`` paths,
-on both the motivational workload and the (scaled) Table III census.
+between the columnar schedulers and the frozen ``list[OperatingPoint]``
+reference implementations in :mod:`tests.oracle`, on both the motivational
+workload and the (scaled) Table III census.
 """
 
 import pytest
 
 from repro.dse import paper_operating_points, reduced_tables
-from repro.optable import columnar_disabled
 from repro.platforms import odroid_xu4
 from repro.runtime.manager import RuntimeManager
 from repro.schedulers import ExMemScheduler, MMKPLRScheduler, MMKPMDFScheduler
@@ -21,8 +21,22 @@ from repro.workload.motivational import (
     motivational_trace,
 )
 from repro.workload.suite import scaled_census
+from tests.oracle import (
+    MMKPLROracle,
+    MMKPMDFOracle,
+    oracle_manager,
+    run_batch,
+    schedule_energy,
+)
 
-SCHEDULERS = [MMKPMDFScheduler, MMKPLRScheduler, ExMemScheduler]
+#: Production scheduler → its list-based reference twin.  EX-MEM has a single
+#: body (it never had a list twin); running it twice still pins determinism
+#: and its objective against the list-based schedule energy.
+SCHEDULERS = [
+    pytest.param(MMKPMDFScheduler, MMKPMDFOracle, id="MMKPMDFScheduler"),
+    pytest.param(MMKPLRScheduler, MMKPLROracle, id="MMKPLRScheduler"),
+    pytest.param(ExMemScheduler, ExMemScheduler, id="ExMemScheduler"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +47,7 @@ def census_problems():
     return [case.problem(platform, tables) for case in suite.cases]
 
 
-def assert_results_identical(columnar, seed):
+def assert_results_identical(columnar, seed, tables):
     assert (columnar.schedule is None) == (seed.schedule is None)
     if columnar.schedule is not None:
         assert columnar.schedule == seed.schedule
@@ -44,75 +58,57 @@ def assert_results_identical(columnar, seed):
             assert fast_segment.start == seed_segment.start
             assert fast_segment.end == seed_segment.end
         assert columnar.energy == seed.energy
+        assert columnar.energy == schedule_energy(columnar.schedule, tables)
     assert columnar.assignment == seed.assignment
     assert dict(columnar.statistics) == dict(seed.statistics)
 
 
 class TestSchedulerEquivalence:
-    @pytest.mark.parametrize("scheduler_cls", SCHEDULERS)
+    @pytest.mark.parametrize("scheduler_cls,oracle_cls", SCHEDULERS)
     @pytest.mark.parametrize("scenario", ["S1", "S2"])
-    def test_motivational_scenarios(self, scheduler_cls, scenario):
-        columnar = scheduler_cls().schedule(motivational_problem(scenario))
-        with columnar_disabled():
-            seed = scheduler_cls().schedule(motivational_problem(scenario))
-        assert_results_identical(columnar, seed)
+    def test_motivational_scenarios(self, scheduler_cls, oracle_cls, scenario):
+        problem = motivational_problem(scenario)
+        columnar = scheduler_cls().schedule(problem)
+        seed = oracle_cls().schedule(motivational_problem(scenario))
+        assert_results_identical(columnar, seed, problem.tables)
 
-    @pytest.mark.parametrize("scheduler_cls", [MMKPMDFScheduler, MMKPLRScheduler])
-    def test_census_workload(self, scheduler_cls, census_problems):
+    @pytest.mark.parametrize("scheduler_cls,oracle_cls", SCHEDULERS[:2])
+    def test_census_workload(self, scheduler_cls, oracle_cls, census_problems):
         scheduler = scheduler_cls()
-        columnar = [scheduler.schedule(p) for p in census_problems]
-        with columnar_disabled():
-            seed = [scheduler.schedule(p) for p in census_problems]
-        for fast, slow in zip(columnar, seed):
-            assert_results_identical(fast, slow)
+        oracle = oracle_cls()
+        for problem in census_problems:
+            assert_results_identical(
+                scheduler.schedule(problem), oracle.schedule(problem), problem.tables
+            )
 
     def test_census_workload_exmem_sample(self, census_problems):
         # EX-MEM is exponential; a sample keeps the equivalence suite fast.
-        # Note: EX-MEM's internals were columnarised unconditionally (the
-        # toggle does not switch it back to seed code), so this asserts
-        # determinism across modes — its behaviour vs the seed is pinned by
-        # tests/schedulers/test_exmem.py and the cross-scheduler suite.
         scheduler = ExMemScheduler(max_configs_per_job=4)
         for problem in census_problems[:10]:
-            columnar = scheduler.schedule(problem)
-            with columnar_disabled():
-                seed = scheduler.schedule(problem)
-            assert_results_identical(columnar, seed)
+            assert_results_identical(
+                scheduler.schedule(problem), scheduler.schedule(problem), problem.tables
+            )
 
-
-class TestPackerBaseScheduleParity:
-    def test_duplicate_mapping_in_base_schedule_raises_in_both_modes(self):
-        from repro.core.segment import JobMapping, MappingSegment, Schedule
-        from repro.exceptions import SchedulingError
-        from repro.schedulers.edf_packer import pack_jobs_edf
-
-        problem = motivational_problem("S1")
-        job = problem.jobs[0]
-        base = Schedule([MappingSegment(problem.now, problem.now + 1.0, [JobMapping(job, 0)])])
-        for mode in (True, False):
-            from repro.optable import columnar_override
-
-            with columnar_override(mode):
-                with pytest.raises(SchedulingError, match="already mapped"):
-                    pack_jobs_edf(problem, {job.name: 0}, base_schedule=base)
+    def test_lr_batched_admission_matches_oracle(self, census_problems):
+        batched = MMKPLRScheduler().schedule_many(census_problems)
+        oracle = MMKPLROracle()
+        for fast, problem in zip(batched, census_problems):
+            assert_results_identical(fast, oracle.schedule(problem), problem.tables)
 
 
 class TestRuntimeManagerEquivalence:
     @pytest.mark.parametrize("scenario", ["S1", "S2"])
     @pytest.mark.parametrize("engine", ["events", "linear"])
     def test_motivational_runs(self, scenario, engine):
-        def run():
-            manager = RuntimeManager.from_components(
-                motivational_platform(),
-                motivational_tables(),
-                MMKPMDFScheduler(),
-                engine=engine,
-            )
-            return manager.run(motivational_trace(scenario))
-
-        columnar = run()
-        with columnar_disabled():
-            seed = run()
+        columnar = RuntimeManager.from_components(
+            motivational_platform(),
+            motivational_tables(),
+            MMKPMDFScheduler(),
+            engine=engine,
+        ).run(motivational_trace(scenario))
+        seed = oracle_manager(
+            motivational_platform(), motivational_tables(), "mmkp-mdf", engine=engine
+        ).run(motivational_trace(scenario))
         assert columnar.total_energy == seed.total_energy
         assert len(columnar.timeline) == len(seed.timeline)
         for fast, slow in zip(columnar.timeline, seed.timeline):
@@ -143,11 +139,5 @@ class TestBatchFingerprintEquivalence:
             for i, scheduler in enumerate(["mmkp-mdf", "mmkp-lr", "mmkp-mdf"])
         ]
 
-        def fingerprint():
-            service = SimulationService()
-            return service.run_batch(jobs).fingerprint()
-
-        columnar = fingerprint()
-        with columnar_disabled():
-            seed = fingerprint()
-        assert columnar == seed
+        columnar = SimulationService(use_cache=False).run_batch(jobs).fingerprint()
+        assert columnar == run_batch(jobs).fingerprint()

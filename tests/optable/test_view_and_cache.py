@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.optable import SolveCache, columnar_disabled, columnar_override
+from repro.optable import SolveCache
 from repro.schedulers import MMKPLRScheduler
 from repro.workload.motivational import motivational_problem
 
@@ -76,13 +76,12 @@ class TestProblemView:
 class TestLagrangianMemo:
     def test_repeated_activations_hit_the_cache(self):
         scheduler = MMKPLRScheduler()
-        with columnar_override(True):
-            first = scheduler.schedule(motivational_problem("S1"))
-            misses_after_first = scheduler.solve_cache.misses
-            assert misses_after_first > 0
-            second = scheduler.schedule(motivational_problem("S1"))
-            assert scheduler.solve_cache.hits > 0
-            assert scheduler.solve_cache.misses == misses_after_first
+        first = scheduler.schedule(motivational_problem("S1"))
+        misses_after_first = scheduler.solve_cache.misses
+        assert misses_after_first > 0
+        second = scheduler.schedule(motivational_problem("S1"))
+        assert scheduler.solve_cache.hits > 0
+        assert scheduler.solve_cache.misses == misses_after_first
         # Cached relaxations replay bit-identically.
         assert first.schedule == second.schedule
         assert first.energy == second.energy
@@ -91,30 +90,27 @@ class TestLagrangianMemo:
     def test_cache_is_per_scheduler_instance(self):
         # Independent schedulers must not contaminate each other's wall-time
         # (the seed tier-1 suite compares LR vs MDF timings).
-        with columnar_override(True):
-            warm = MMKPLRScheduler()
-            warm.schedule(motivational_problem("S1"))
-            fresh = MMKPLRScheduler()
-            assert fresh.solve_cache.info() == {"entries": 0, "hits": 0, "misses": 0}
+        warm = MMKPLRScheduler()
+        warm.schedule(motivational_problem("S1"))
+        fresh = MMKPLRScheduler()
+        assert fresh.solve_cache.info() == {"entries": 0, "hits": 0, "misses": 0}
 
     def test_shared_cache_can_be_injected(self):
         shared = SolveCache()
-        with columnar_override(True):
-            MMKPLRScheduler(solve_cache=shared).schedule(motivational_problem("S1"))
-            populated = len(shared)
-            assert populated > 0
-            second = MMKPLRScheduler(solve_cache=shared)
-            second.schedule(motivational_problem("S1"))
-            assert shared.hits > 0
+        MMKPLRScheduler(solve_cache=shared).schedule(motivational_problem("S1"))
+        populated = len(shared)
+        assert populated > 0
+        second = MMKPLRScheduler(solve_cache=shared)
+        second.schedule(motivational_problem("S1"))
+        assert shared.hits > 0
 
     def test_cached_path_matches_seed_path(self):
-        problem = motivational_problem("S2")
-        with columnar_override(True):
-            scheduler = MMKPLRScheduler()
-            columnar = scheduler.schedule(problem)
-            cached = scheduler.schedule(motivational_problem("S2"))
-        with columnar_disabled():
-            seed = MMKPLRScheduler().schedule(motivational_problem("S2"))
+        from tests.oracle import MMKPLROracle
+
+        scheduler = MMKPLRScheduler()
+        columnar = scheduler.schedule(motivational_problem("S2"))
+        cached = scheduler.schedule(motivational_problem("S2"))
+        seed = MMKPLROracle().schedule(motivational_problem("S2"))
         for result in (columnar, cached):
             assert result.schedule == seed.schedule
             assert result.energy == seed.energy

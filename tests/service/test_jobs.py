@@ -36,9 +36,6 @@ class TestTraceSpec:
 
 
 class TestRegistries:
-    # The deprecated ``build_scheduler``/``build_platform`` shims are covered
-    # (with their warnings) in tests/api/test_deprecations.py; everything
-    # else goes through the registries, so a clean run emits no warnings.
     def test_all_registered_schedulers_build_fresh_instances(self):
         for name in SCHEDULERS:
             first = SCHEDULERS.build(name)

@@ -36,9 +36,9 @@ def _passing_metrics() -> dict:
             "columnar_speedup": 2.0,
         },
         "kernel_incremental": {
-            "speedup": 2.0,
+            "speedup": 10.0,
             "arrivals_per_s_kernel": 100.0,
-            "arrivals_per_s_seed": 50.0,
+            "arrivals_per_s_seed": 10.0,
         },
         "gateway_throughput": {
             "runs_per_s_warm": 100.0,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.stats import BoxplotStats, geometric_mean, s_curve
@@ -11,10 +12,12 @@ from repro.core.config import ConfigTable, OperatingPoint, pareto_filter_points
 from repro.core.problem import SchedulingProblem
 from repro.core.request import Job
 from repro.dse.pareto import pareto_front
+from repro.exceptions import SchedulingError
 from repro.knapsack import MMKPItem, MMKPProblem, solve_exact, solve_greedy, solve_lagrangian
 from repro.platforms.resources import ResourceVector
-from repro.schedulers import MMKPMDFScheduler
+from repro.schedulers import MMKPLRScheduler, MMKPMDFScheduler
 from repro.schedulers.edf_packer import pack_jobs_edf
+from tests import oracle
 
 # --------------------------------------------------------------------- #
 # Strategies
@@ -73,6 +76,56 @@ def scheduling_problems(draw):
             Job(f"job{index}", "app", arrival=0.0, deadline=deadline, remaining_ratio=remaining)
         )
     return SchedulingProblem(capacity, {"app": table}, jobs, now=0.0)
+
+
+@st.composite
+def mixed_problems(draw):
+    """Random problems with two applications, up to four jobs, ``now > 0``."""
+    capacity = ResourceVector([draw(st.integers(1, 4)), draw(st.integers(1, 4))])
+    tables = {}
+    for application in ("a", "b"):
+        points = [
+            point
+            for point in draw(operating_points(dimension=2, max_points=5))
+            if point.resources.fits_into(capacity)
+        ] or [OperatingPoint(ResourceVector([1, 0]), 5.0, 1.0)]
+        tables[application] = ConfigTable(application, points)
+    now = draw(st.floats(min_value=0.0, max_value=10.0))
+    jobs = []
+    for index in range(draw(st.integers(1, 4))):
+        application = draw(st.sampled_from(("a", "b")))
+        remaining = draw(st.floats(min_value=0.1, max_value=1.0))
+        slack = draw(st.floats(min_value=0.5, max_value=4.0))
+        fastest = tables[application].fastest().execution_time
+        jobs.append(
+            Job(
+                f"job{index}",
+                application,
+                arrival=0.0,
+                deadline=now + fastest * remaining * slack,
+                remaining_ratio=remaining,
+            )
+        )
+    return SchedulingProblem(capacity, tables, jobs, now=now)
+
+
+def _schedule_key(schedule):
+    """Segment boundaries (exact floats) and mappings of a schedule."""
+    if schedule is None:
+        return None
+    return [
+        (segment.start, segment.end, [(m.job_name, m.config_index) for m in segment])
+        for segment in schedule
+    ]
+
+
+def _result_key(result):
+    return (
+        _schedule_key(result.schedule),
+        dict(result.assignment),
+        repr(result.energy),
+        dict(result.statistics),
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -249,3 +302,51 @@ class TestSchedulerProperties:
         assert report.feasible, report.violations
         assert math.isfinite(result.energy)
         assert result.energy >= 0.0
+
+    @given(mixed_problems(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_packer_matches_the_oracle_on_random_assignments(self, problem, data):
+        # Several packs on one problem exercise the prefix-resumed packer
+        # (later packs share placement prefixes with earlier ones).
+        for _ in range(data.draw(st.integers(1, 4))):
+            assignment = {
+                job.name: data.draw(
+                    st.integers(0, len(problem.table_for(job)) - 1)
+                )
+                for job in problem.jobs
+                if data.draw(st.booleans())
+            }
+            packed = pack_jobs_edf(problem, assignment)
+            reference = oracle.pack_jobs_edf(problem, assignment)
+            assert _schedule_key(packed) == _schedule_key(reference)
+
+    @given(mixed_problems(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_out_of_range_configuration_raises_like_the_oracle(self, problem, data):
+        assignment = {
+            job.name: data.draw(st.integers(0, len(problem.table_for(job)) - 1))
+            for job in problem.jobs
+        }
+        victim = data.draw(st.sampled_from(problem.jobs))
+        assignment[victim.name] = len(problem.table_for(victim)) + data.draw(
+            st.integers(0, 3)
+        )
+        with pytest.raises(SchedulingError) as packed:
+            pack_jobs_edf(problem, assignment)
+        with pytest.raises(SchedulingError) as reference:
+            oracle.pack_jobs_edf(problem, assignment)
+        assert str(packed.value) == str(reference.value)
+
+    @given(st.one_of(scheduling_problems(), mixed_problems()))
+    @settings(max_examples=60, deadline=None)
+    def test_mdf_matches_the_oracle(self, problem):
+        result = MMKPMDFScheduler().schedule(problem)
+        reference = oracle.MMKPMDFOracle().schedule(problem)
+        assert _result_key(result) == _result_key(reference)
+
+    @given(st.one_of(scheduling_problems(), mixed_problems()))
+    @settings(max_examples=40, deadline=None)
+    def test_lr_matches_the_oracle(self, problem):
+        result = MMKPLRScheduler().schedule(problem)
+        reference = oracle.MMKPLROracle().schedule(problem)
+        assert _result_key(result) == _result_key(reference)
