@@ -24,7 +24,11 @@ from __future__ import annotations
 from repro.core.problem import SchedulingProblem
 from repro.schedulers.base import Scheduler, SchedulingResult
 from repro.schedulers.edf_packer import pack_jobs_edf
-from repro.schedulers.policies import JobSelectionPolicy, MaximumDifferencePolicy
+from repro.schedulers.policies import (
+    JobSelectionPolicy,
+    MaximumDifferencePolicy,
+    mdf_priority,
+)
 
 #: Numerical slack for capacity/deadline filtering.
 _EPSILON = 1e-9
@@ -173,21 +177,11 @@ class MMKPMDFScheduler(Scheduler):
                     rec = records[name]
                     priority = rec[3]
                     if shrank or priority is None:
-                        # The policy's columnar priority: difference of the
-                        # two smallest remaining energies (same floats).
-                        if len(indices) == 1:
-                            priority = float("inf")
-                        else:
-                            energies = view.optable(candidate.application).energies
-                            ratio = candidate.remaining_ratio
-                            smallest = second = float("inf")
-                            for index in indices:
-                                value = energies[index] * ratio
-                                if value < smallest:
-                                    smallest, second = value, smallest
-                                elif value < second:
-                                    second = value
-                            priority = second - smallest
+                        priority = mdf_priority(
+                            view.optable(candidate.application).energies,
+                            indices,
+                            candidate.remaining_ratio,
+                        )
                         rec[3] = priority
                     key = (priority, name)
                     if best_key is None or key > best_key:

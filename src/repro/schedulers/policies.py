@@ -49,6 +49,28 @@ class JobSelectionPolicy(abc.ABC):
         return None
 
 
+def mdf_priority(
+    energies: Sequence[float], indices: Sequence[int], ratio: float
+) -> float:
+    """The MDF priority of a job with feasible configurations ``indices``.
+
+    The gap between the two smallest remaining energies
+    (``energies[i] * ratio``); infinite when only one configuration is
+    feasible.  Only the two smallest values are tracked, which gives the same
+    floats as sorting the full list.
+    """
+    if len(indices) == 1:
+        return float("inf")
+    smallest = second = float("inf")
+    for index in indices:
+        value = energies[index] * ratio
+        if value < smallest:
+            smallest, second = value, smallest
+        elif value < second:
+            second = value
+    return second - smallest
+
+
 class MaximumDifferencePolicy(JobSelectionPolicy):
     """The paper's MDF policy.
 
@@ -65,23 +87,12 @@ class MaximumDifferencePolicy(JobSelectionPolicy):
         if hopeless is not None:
             return hopeless
 
-        # The priority needs only the two smallest remaining energies, read
-        # from the interned energy column — same floats as sorting the full
-        # list, without building it.
+        # Priorities read the interned energy column.
         def priority(entry: tuple[Job, list[int]]) -> float:
             job, indices = entry
-            if len(indices) == 1:
-                return float("inf")
-            energies = tables[job.application].optable.energies
-            ratio = job.remaining_ratio
-            smallest = second = float("inf")
-            for index in indices:
-                value = energies[index] * ratio
-                if value < smallest:
-                    smallest, second = value, smallest
-                elif value < second:
-                    second = value
-            return second - smallest
+            return mdf_priority(
+                tables[job.application].optable.energies, indices, job.remaining_ratio
+            )
 
         return max(candidates, key=lambda entry: (priority(entry), entry[0].name))
 

@@ -190,10 +190,12 @@ class TestBatchFingerprintEquivalence:
             )
             for i, scheduler in enumerate(["mmkp-mdf", "mmkp-lr", "mmkp-mdf"])
         ]
-        # Uncached: the activation cache reuses time-shifted schedules, which
-        # is not float-exact against a fresh solve.
+        # A cache hit reuses a time-shifted schedule, which is not float-exact
+        # against a fresh solve, so each mode is compared with its own twin.
         fast = SimulationService(use_cache=False).run_batch(jobs).fingerprint()
         assert fast == run_batch(jobs).fingerprint()
+        cached = SimulationService().run_batch(jobs).fingerprint()
+        assert cached == run_batch(jobs, use_cache=True).fingerprint()
 
     def test_worker_count_is_immaterial_under_the_kernel(self):
         from repro.service import BatchSpec, SimulationService

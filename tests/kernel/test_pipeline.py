@@ -47,20 +47,6 @@ class TestKernelEvent:
         assert summary["activations"] == 2
         assert summary["commits"] >= 2
 
-    def test_retired_switches_select_no_other_path(self, monkeypatch):
-        """``REPRO_KERNEL=0``/``REPRO_OPTABLE=0`` once chose the seed path.
-
-        They are no longer read: the run still goes through the kernel (one
-        ``KERNEL`` summary) and its log is the default run's, bit for bit.
-        """
-        spec = ExperimentSpec(name="k0", workload=WorkloadSpec.scenario("S1"))
-        default = Session.from_spec(spec).run().fingerprint()
-        monkeypatch.setenv("REPRO_KERNEL", "0")
-        monkeypatch.setenv("REPRO_OPTABLE", "0")
-        events = list(Session.from_spec(spec).stream())
-        assert [event.kind for event in events].count(RunEventKind.KERNEL) == 1
-        assert Session.from_spec(spec).run().fingerprint() == default
-
 
 class TestDoublePruneBoundary:
     """Regression: a segment finishing exactly at a reschedule timestamp.

@@ -141,3 +141,6 @@ class TestBatchFingerprintEquivalence:
 
         columnar = SimulationService(use_cache=False).run_batch(jobs).fingerprint()
         assert columnar == run_batch(jobs).fingerprint()
+        # The default (activation-cached) service against the cached oracle.
+        cached = SimulationService().run_batch(jobs).fingerprint()
+        assert cached == run_batch(jobs, use_cache=True).fingerprint()

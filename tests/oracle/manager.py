@@ -5,7 +5,10 @@ advance, interval accounting, commits, governor planning) and replaces only
 the decision path: every arrival and every finish-time reschedule poses the
 full active set as a fresh :class:`~repro.core.problem.SchedulingProblem`,
 overdue deadlines are relaxed by scanning the committed segments, and every
-finish re-scans the committed schedule for ghost mappings.
+finish re-scans the committed schedule for ghost mappings.  The scheduler
+never sees the run's :class:`~repro.kernel.pipeline.KernelRun`, so
+schedulers with kernel warm starts (EX-MEM's shared candidate columns)
+derive everything cold on the reference side.
 """
 
 from __future__ import annotations
@@ -22,8 +25,32 @@ from repro.runtime.manager import RuntimeManager, _FINISH_TOLERANCE, _Plan
 from tests.oracle.schedulers import oracle_scheduler
 
 
+class _ColdRun:
+    """A scheduler with its kernel-run hooks hidden.
+
+    The production manager hands every run's kernel caches to
+    ``scheduler.begin_run``; behind this proxy they are never adopted.
+    """
+
+    def __init__(self, scheduler) -> None:
+        self.inner = scheduler
+        self.name = scheduler.name
+
+    def schedule(self, problem):
+        return self.inner.schedule(problem)
+
+    def begin_run(self, kernel) -> None:
+        pass
+
+    def end_run(self, kernel) -> None:
+        pass
+
+
 class OracleRuntimeManager(RuntimeManager):
     """A :class:`RuntimeManager` whose activations are full re-solves."""
+
+    def _configure(self, platform, tables, scheduler, **options) -> None:
+        super()._configure(platform, tables, _ColdRun(scheduler), **options)
 
     def _admit_arrival(self, ctx, event) -> None:
         job = Job(
